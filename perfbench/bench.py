@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.stats
 
 import repro
 from perfbench.layers import layer_metrics
@@ -28,8 +29,12 @@ from perfbench.workloads import WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / ".perfbench"
-#: Set-ups per run; the median is reported as ``setup_s``.
-SETUP_REPEATS = 15
+#: Seconds of operations per set-up: an end-to-end run sets up again
+#: between operations, about this often, and reports the median as
+#: ``setup_s``.  Spread over the whole run, the set-ups see the same phases
+#: of a shared machine's speed as the operations do; a burst of set-ups at
+#: the start would catch one phase only.
+SETUP_EVERY_S = 1.0
 #: Operations a traced run replays, per workload (fixed, so counts are exact).
 TRACED_OPS = {"paper-vsc": 2, "explore-sweep": 3, "fleet-deploy": 10, "serve-stream": 2}
 
@@ -72,16 +77,28 @@ def provenance(workload: str, seed: int, seconds: float, trace: int) -> dict:
     }
 
 
-def run_ops(workload, count, seconds, errors, outcomes, recorder=None) -> float:
-    """Run operations until ``count`` ran or ``seconds`` of them passed.
+def run_ops(workload, count, seconds, errors, outcomes, recorder=None, before_op=None) -> float:
+    """Run ``count`` operations, or as many as fit in ``seconds``.
 
-    Returns the wall clock of the operations alone: the checks after each
-    operation run outside it.  With a ``recorder``, each operation is one
-    ``bench.op`` span and its spans carry the operation index.
+    Without a count, operations run back to back until the next one, at the
+    median duration so far, would end past ``seconds``; at least one runs.
+    A run thus measures at most about ``seconds`` even when one operation
+    takes seconds.  Returns the wall clock of the operations alone: the
+    checks after each operation run outside it.  With a ``recorder``, each
+    operation is one ``bench.op`` span and its spans carry the operation
+    index.  ``before_op``, if given, is called with the seconds measured so
+    far before each operation, outside the measured time.
     """
     measured = 0.0
+    durations: list[float] = []
     index = 0
-    while index < count if count is not None else (index == 0 or measured < seconds):
+    while (
+        index < count
+        if count is not None
+        else (index == 0 or measured + statistics.median(durations) <= seconds)
+    ):
+        if before_op is not None:
+            before_op(measured)
         if recorder is not None:
             recorder.current_op = index
         started = time.perf_counter()
@@ -90,7 +107,8 @@ def run_ops(workload, count, seconds, errors, outcomes, recorder=None) -> float:
         else:
             with recorder.span("bench.op"):
                 outcome = workload.op(index)
-        measured += time.perf_counter() - started
+        durations.append(time.perf_counter() - started)
+        measured += durations[-1]
         errors.extend(workload.check(outcome))
         outcome.data.clear()
         outcomes.append(outcome)
@@ -99,20 +117,23 @@ def run_ops(workload, count, seconds, errors, outcomes, recorder=None) -> float:
 
 
 def end_to_end(workload, seconds: float, errors: list) -> tuple[dict, list]:
-    setups = []
-    for _ in range(SETUP_REPEATS):
-        started = time.perf_counter()
-        workload.setup()
-        setups.append(time.perf_counter() - started)
+    setups: list[float] = []
+
+    def set_up(measured: float) -> None:
+        while len(setups) < 1 + measured / SETUP_EVERY_S:
+            started = time.perf_counter()
+            workload.setup()
+            setups.append(time.perf_counter() - started)
+
     outcomes: list = []
-    run_ops(workload, None, seconds, errors, outcomes)
+    run_ops(workload, None, seconds, errors, outcomes, before_op=set_up)
     latencies = np.array([value for o in outcomes for value in o.latencies_s])
     metrics = {
         "setup_s": statistics.median(setups),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "op_p50_ms": 1e3 * float(np.percentile(latencies, 50)),
+        "op_iqm_ms": 1e3 * float(scipy.stats.trim_mean(latencies, 0.25)),
         "op_p90_ms": 1e3 * float(np.percentile(latencies, 90)),
-        "items_per_s": statistics.median(o.items / o.busy_s for o in outcomes),
+        "items_per_s": sum(o.items for o in outcomes) / sum(o.busy_s for o in outcomes),
     }
     return metrics, outcomes
 

@@ -374,9 +374,9 @@ STATIC_VALUES = (0.1, 0.12)
 CUSUM = {"bias": 0.02, "threshold": 0.5}
 ATTACK_BIAS = 0.5
 #: Share of a service lifetime before the attack starts.  Rounds with alarms
-#: cost ~1.5x quiet ones; starting at 70% keeps both reported percentiles
-#: (p50 among quiet rounds, p90 among alarming ones) away from the step
-#: between the two, where a percentile would jump from run to run.
+#: cost ~1.5x quiet ones; starting at 70% keeps the reported p90 among
+#: alarming rounds, away from the step between the two kinds, where a
+#: percentile would jump from run to run.
 ATTACK_START = 0.7
 
 
