@@ -1,7 +1,6 @@
 """Declarative, JSON-serializable experiment configuration objects.
 
-Three dataclasses replace the kwargs plumbing of the original
-:class:`~repro.core.pipeline.SynthesisPipeline`:
+Three dataclasses describe an experiment declaratively:
 
 * :class:`SynthesisConfig` — which algorithms to run, on which backend, with
   which refinement knobs;
@@ -335,8 +334,8 @@ class FARConfig:
         """Construct the :class:`~repro.core.far.FalseAlarmEvaluator` for ``problem``.
 
         ``noise_model`` (an instance) overrides the declarative settings; it
-        is the escape hatch the :class:`~repro.core.pipeline.SynthesisPipeline`
-        compat shim uses for caller-supplied model objects.
+        is the escape hatch :func:`~repro.api.execute.run_pipeline` uses for
+        a caller-supplied ``far_noise_model`` object.
         """
         from repro.core.far import FalseAlarmEvaluator
 
@@ -463,11 +462,10 @@ class RuntimeConfig:
     record_traces:
         Keep the full fleet trajectories on the report metadata (memory
         scales with ``N * horizon``; off by default).
-    engine / engine_options:
-        Registry name (and constructor kwargs) of the fleet execution
-        engine: ``"legacy"`` (the per-step reference loop) or ``"fused"``
-        (the block-GEMM kernel of :mod:`repro.runtime.kernel`, taking
-        ``dtype`` and ``workers``).
+    engine:
+        Registry name of the fleet execution engine: ``"legacy"`` (the
+        per-step reference loop) or ``"fused"`` (the block-GEMM kernel of
+        :mod:`repro.runtime.kernel`).
     """
 
     n_instances: int = 100
@@ -488,7 +486,6 @@ class RuntimeConfig:
     events_path: str | None = None
     record_traces: bool = False
     engine: str = "legacy"
-    engine_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.n_instances = int(self.n_instances)
@@ -581,7 +578,6 @@ class RuntimeConfig:
             "events_path": self.events_path,
             "record_traces": self.record_traces,
             "engine": self.engine,
-            "engine_options": dict(self.engine_options),
         }
 
     @classmethod
@@ -650,9 +646,9 @@ class ServiceConfig:
     sink_policy:
         The wrapped sinks' overflow policy: ``"block"``, ``"drop-oldest"``
         or ``"drop-newest"``.
-    engine / engine_options:
-        Registry name (and constructor kwargs) of the round-evaluation
-        engine: ``"legacy"`` (per-core loop) or ``"fused"`` (vectorized
+    engine:
+        Registry name of the round-evaluation engine: ``"legacy"`` (per-core
+        loop) or ``"fused"`` (vectorized
         :class:`~repro.runtime.kernel.serve.FusedServicePlan` rounds).
     """
 
@@ -671,7 +667,6 @@ class ServiceConfig:
     sink_capacity: int | None = None
     sink_policy: str = "block"
     engine: str = "legacy"
-    engine_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.case_study is not None:
@@ -745,7 +740,6 @@ class ServiceConfig:
             "sink_capacity": self.sink_capacity,
             "sink_policy": self.sink_policy,
             "engine": self.engine,
-            "engine_options": dict(self.engine_options),
         }
 
     @classmethod

@@ -4,8 +4,6 @@
 paper evaluates — vulnerability check (Algorithm 1 with no residue
 detector), threshold synthesis per algorithm, optional threshold relaxation,
 FAR study — driven by the declarative configs in :mod:`repro.api.config`.
-The legacy :class:`~repro.core.pipeline.SynthesisPipeline` is a thin adapter
-over this function.
 
 One :class:`~repro.core.session.SynthesisSession` is opened per call and
 shared by the vulnerability check, every synthesis algorithm and the

@@ -11,7 +11,7 @@ Module map (paper artefact → implementation):
                                       :func:`repro.core.stepwise.min_area_rectangle`
 * provably-safe static baseline     → :class:`repro.core.static_synthesis.StaticThresholdSynthesizer`
 * FAR study (§IV)                   → :class:`repro.core.far.FalseAlarmEvaluator`
-* end-to-end flow                   → :class:`repro.core.pipeline.SynthesisPipeline`
+* end-to-end flow                   → :func:`repro.api.execute.run_pipeline`
 """
 
 from repro.core.specs import (
@@ -33,7 +33,7 @@ from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.core.relaxation import ThresholdRelaxer, RelaxationResult
 from repro.core.synthesis_result import ThresholdSynthesisResult
 from repro.core.far import FalseAlarmEvaluator, FalseAlarmStudy
-from repro.core.pipeline import SynthesisPipeline, PipelineReport
+from repro.api.execute import PipelineReport
 
 __all__ = [
     "StateCondition",
@@ -58,6 +58,5 @@ __all__ = [
     "ThresholdSynthesisResult",
     "FalseAlarmEvaluator",
     "FalseAlarmStudy",
-    "SynthesisPipeline",
     "PipelineReport",
 ]

@@ -15,7 +15,8 @@ The synthesis pipeline (:mod:`repro.api`) produces detectors; this package
 * pluggable execution engines (:class:`LegacyEngine`, :class:`FusedEngine`
   from :mod:`repro.runtime.kernel`, selected by ``engine="legacy"/"fused"``
   through :data:`repro.registry.ENGINES`) — the fused kernel collapses each
-  fleet step into one block GEMM while staying bit-identical in float64;
+  fleet step into one block GEMM while staying bit-identical to the legacy
+  engine;
 * an event layer (:class:`AlarmEvent`, :class:`InMemorySink`,
   :class:`JSONLSink`) and the :class:`FleetReport` aggregate;
 * the config-driven :func:`run_fleet` entry point (see

@@ -239,7 +239,6 @@ def run_fleet(
         record_traces=config.record_traces,
         metrics=metrics,
         engine=config.engine,
-        engine_options=config.engine_options,
     )
     try:
         report = simulator.run()

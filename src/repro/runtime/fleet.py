@@ -21,11 +21,11 @@ Three layers build on the shared :class:`_BatchStepper`:
   :class:`~repro.runtime.events.AlarmEvent` batches into the sinks, and
   aggregates a :class:`~repro.runtime.report.FleetReport`.
 
-Both entry points accept an ``engine`` name resolved through
+:class:`FleetSimulator` takes an ``engine`` name resolved through
 :data:`repro.registry.ENGINES`: ``"legacy"`` (this module's per-step
 pipeline, the default) or ``"fused"`` (the block-fused kernel of
-:mod:`repro.runtime.kernel`, bit-identical in float64 and gated by a
-differential probe).
+:mod:`repro.runtime.kernel`, bit-identical and gated by a differential
+probe).
 """
 
 from __future__ import annotations
@@ -186,8 +186,6 @@ def batch_simulate(
     process_noise: np.ndarray | None = None,
     attacks: np.ndarray | None = None,
     n_instances: int | None = None,
-    engine: str = "legacy",
-    engine_options: Mapping[str, object] | None = None,
 ) -> FleetTrace:
     """Simulate ``N`` instances of one closed loop in batched numpy.
 
@@ -206,10 +204,6 @@ def batch_simulate(
         / ``(N, T, m)``; ``None`` means zero.
     n_instances:
         Fleet size; only needed when every per-instance argument is ``None``.
-    engine / engine_options:
-        Execution engine name from :data:`repro.registry.ENGINES` plus its
-        constructor options (e.g. ``engine="fused"``,
-        ``engine_options={"dtype": "float32", "workers": 4}``).
 
     Returns
     -------
@@ -220,7 +214,7 @@ def batch_simulate(
     """
     plant = system.plant
     T = int(check_positive("horizon", horizon))
-    n, m = plant.n_states, plant.n_outputs
+    n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
 
     for candidate in (measurement_noise, process_noise, attacks):
         if candidate is not None:
@@ -244,9 +238,43 @@ def batch_simulate(
     has_process_noise = process_noise is not None
     has_attack = attacks is not None
 
-    runner = ENGINES.create(engine, **dict(engine_options or {}))
-    return runner.batch_trace(
-        system, T, X0, Xhat0, V, W, A, has_process_noise, has_attack
+    stepper = _BatchStepper(system, X0, Xhat0)
+    states = np.zeros((N, T + 1, n))
+    estimates = np.zeros((N, T + 1, n))
+    inputs = np.zeros((N, T + 1, p))
+    measurements = np.zeros((N, T, m))
+    true_outputs = np.zeros((N, T, m))
+    residues = np.zeros((N, T, m))
+
+    states[:, 0] = stepper.X
+    estimates[:, 0] = stepper.Xhat
+    inputs[:, 0] = stepper.U
+
+    for k in range(T):
+        y_true, y_attacked, z = stepper.step(
+            V[:, k],
+            W[:, k] if has_process_noise else None,
+            A[:, k] if has_attack else None,
+        )
+        true_outputs[:, k] = y_true
+        measurements[:, k] = y_attacked
+        residues[:, k] = z
+        states[:, k + 1] = stepper.X
+        estimates[:, k + 1] = stepper.Xhat
+        inputs[:, k + 1] = stepper.U
+
+    return FleetTrace(
+        states=states,
+        estimates=estimates,
+        inputs=inputs,
+        measurements=measurements,
+        true_outputs=true_outputs,
+        residues=residues,
+        attacks=A,
+        process_noise=W,
+        measurement_noise=V,
+        dt=system.dt,
+        metadata={"system": system.name},
     )
 
 
@@ -374,11 +402,7 @@ class FleetSimulator:
     engine:
         Execution engine name from :data:`repro.registry.ENGINES`:
         ``"legacy"`` (default, this module's streaming per-step pipeline) or
-        ``"fused"`` (the block-fused kernel, bit-identical in float64).
-    engine_options:
-        Constructor options for the engine, e.g. ``{"dtype": "float32",
-        "workers": 4}`` for the fused kernel.  Validated when :meth:`run`
-        resolves the engine.
+        ``"fused"`` (the block-fused kernel, bit-identical to it).
     """
 
     def __init__(
@@ -400,13 +424,11 @@ class FleetSimulator:
         metrics: MetricsRegistry | None | bool = None,
         scraper=None,
         engine: str = "legacy",
-        engine_options: Mapping[str, object] | None = None,
     ):
         self.system = system
         self.metrics = metrics
         self.scraper = scraper
         self.engine = str(engine)
-        self.engine_options = dict(engine_options or {})
         self.n_instances = int(check_positive("n_instances", n_instances))
         self.horizon = int(check_positive("horizon", horizon))
         self.include_process_noise = bool(include_process_noise)
@@ -493,7 +515,7 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     def run(self) -> FleetReport:
         """Step the whole fleet through the horizon and aggregate the report."""
-        runner = ENGINES.create(self.engine, **self.engine_options)
+        runner = ENGINES.create(self.engine)
         if self.metrics is False:
             return runner.run_fleet(self)
         with span(

@@ -1,18 +1,17 @@
 """``repro.runtime.kernel``: the fused fleet execution kernel.
 
-The opt-in fast path behind ``engine="fused"``: a single block-matrix GEMM
-per fleet step (:mod:`~repro.runtime.kernel.core`), detector lanes folded
-over pre-stacked residues (:mod:`~repro.runtime.kernel.lanes`), contiguous
-shard-across-cores execution and the registered ``legacy``/``fused`` engine
-objects (:mod:`~repro.runtime.kernel.runner`), plus version-keyed fused
-service rounds (:mod:`~repro.runtime.kernel.serve`).
+The opt-in fast path behind ``engine="fused"``: a single float64
+block-matrix GEMM per fleet step (:mod:`~repro.runtime.kernel.core`),
+detector lanes folded over pre-stacked residues
+(:mod:`~repro.runtime.kernel.lanes`), the registered ``legacy``/``fused``
+engine objects (:mod:`~repro.runtime.kernel.runner`), plus version-keyed
+fused service rounds (:mod:`~repro.runtime.kernel.serve`).
 
-The float64 fused path is *bit-identical* to the legacy stepper, enforced by
-a per-system differential probe at run time and by the differential test
-layer (``tests/test_runtime_kernel_equiv.py``); ``dtype="float32"`` trades
-that guarantee for speed inside a documented accuracy envelope.  See
-``docs/runtime-kernel.md`` for the fusion layout, the sharding contract and
-the equivalence-gate policy.
+The fused path is *bit-identical* to the legacy stepper, enforced by a
+per-system differential probe at run time (a failed probe falls back to the
+legacy stepper) and by the differential test layer
+(``tests/test_runtime_kernel_equiv.py``).  See ``docs/runtime-kernel.md``
+for the fusion layout and the equivalence-gate policy.
 """
 
 from repro.runtime.kernel.core import FusedStepper, probe_fused_equivalence

@@ -23,8 +23,6 @@ float64 fused step is *bit-identical* to the legacy stepper.  Whether that
 holds for a concrete ``(system, BLAS)`` pair is decided empirically at run
 time by :func:`probe_fused_equivalence` — a cached differential warm-up on
 synthetic data — and runs fall back to the legacy stepper when it fails.
-Partition stability across worker shards is probed separately by
-:func:`repro.runtime.kernel.runner.probe_shard_stability`.
 
 Signed-zero caveat: when ``D == 0`` the legacy stepper still adds an exactly
 zero feed-through array, which can flip ``-0.0`` to ``+0.0``; the fused step
@@ -51,33 +49,24 @@ _PROBE_CACHE: dict[tuple, bool] = {}
 
 
 class FusedStepper:
-    """Advance one contiguous shard of the fleet with a single GEMM per step.
+    """Advance ``w`` fleet instances with a single float64 GEMM per step.
 
     Operates in transposed orientation: states are columns, so the stacked
-    state ``Z`` is ``(2n + p, w)`` for a shard of ``w`` instances and every
-    per-step input/output block is ``(m, w)`` / ``(n, w)``.
+    state ``Z`` is ``(2n + p, w)`` and every per-step input/output block is
+    ``(m, w)`` / ``(n, w)``.
 
     Parameters
     ----------
     system:
-        The closed loop replicated across the shard.
+        The closed loop replicated across the fleet.
     x0_T / xhat0_T:
-        Initial plant/estimator states, transposed ``(n, w)``.  Copied into
-        the stacked state; the dtype of the stepper follows ``dtype``.
-    dtype:
-        ``np.float64`` (bit-identical mode) or ``np.float32`` (fast mode).
+        Initial plant/estimator states, transposed ``(n, w)``; copied into
+        the stacked state.
     """
 
-    def __init__(
-        self,
-        system: ClosedLoopSystem,
-        x0_T: np.ndarray,
-        xhat0_T: np.ndarray,
-        dtype=np.float64,
-    ):
+    def __init__(self, system: ClosedLoopSystem, x0_T: np.ndarray, xhat0_T: np.ndarray):
         plant = system.plant
         n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
-        dtype = np.dtype(dtype)
         w = x0_T.shape[1]
         self.system = system
         self.n_columns = w
@@ -86,7 +75,7 @@ class FusedStepper:
 
         s = 2 * n + p
         q = 2 * m + 3 * n + (m if self._has_of else 0)
-        Mq = np.zeros((q, s), dtype=dtype)
+        Mq = np.zeros((q, s))
         Mq[0:m, 0:n] = plant.C
         Mq[m : 2 * m, n : 2 * n] = plant.C
         self._ax0 = 2 * m
@@ -99,12 +88,12 @@ class FusedStepper:
         if self._has_of:
             Mq[self._of0 : self._of0 + m, 2 * n :] = plant.D
         self._Mq = Mq
-        self._L = np.ascontiguousarray(system.L, dtype=dtype)
-        self._K = np.ascontiguousarray(system.K, dtype=dtype)
+        self._L = np.ascontiguousarray(system.L, dtype=float)
+        self._K = np.ascontiguousarray(system.K, dtype=float)
         feedforward = system.feedforward @ system.reference
-        self._ff = np.ascontiguousarray(feedforward.reshape(-1, 1), dtype=dtype)
+        self._ff = np.ascontiguousarray(feedforward.reshape(-1, 1), dtype=float)
 
-        Z = np.zeros((s, w), dtype=dtype)
+        Z = np.zeros((s, w))
         Z[0:n] = x0_T
         Z[n : 2 * n] = xhat0_T
         self._Z = Z
@@ -112,13 +101,13 @@ class FusedStepper:
         self.Xhat = Z[n : 2 * n]
         self.U = Z[2 * n :]
 
-        self._P = np.empty((q, w), dtype=dtype)
-        self._y = np.empty((m, w), dtype=dtype)
-        self._ya = np.empty((m, w), dtype=dtype)
-        self._yhat = np.empty((m, w), dtype=dtype) if self._has_of else None
-        self._res = np.empty((m, w), dtype=dtype)
-        self._resL = np.empty((n, w), dtype=dtype)
-        self._KX = np.empty((p, w), dtype=dtype)
+        self._P = np.empty((q, w))
+        self._y = np.empty((m, w))
+        self._ya = np.empty((m, w))
+        self._yhat = np.empty((m, w)) if self._has_of else None
+        self._res = np.empty((m, w))
+        self._resL = np.empty((n, w))
+        self._KX = np.empty((p, w))
 
     def step(
         self,
@@ -127,7 +116,7 @@ class FusedStepper:
         attack: np.ndarray | None,
         res_out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One fused closed-loop iteration for the shard.
+        """One fused closed-loop iteration for all ``w`` instances.
 
         All blocks are transposed ``(m, w)`` / ``(n, w)``.  Returns
         ``(y_true, y_attacked, residues)`` as views into reused buffers —
@@ -167,8 +156,8 @@ class FusedStepper:
         return self._y, ya, res
 
 
-def _system_key(system: ClosedLoopSystem, dtype) -> tuple:
-    parts: list = [np.dtype(dtype).str]
+def _system_key(system: ClosedLoopSystem) -> tuple:
+    parts: list = []
     plant = system.plant
     matrices = (
         plant.A,
@@ -227,10 +216,8 @@ def _probe(system: ClosedLoopSystem, n_instances: int, horizon: int) -> bool:
     return True
 
 
-def probe_fused_equivalence(
-    system: ClosedLoopSystem, dtype=np.float64, n_instances: int = 64
-) -> bool:
-    """Decide (and cache) whether the fused float64 path is safe for ``system``.
+def probe_fused_equivalence(system: ClosedLoopSystem, n_instances: int = 64) -> bool:
+    """Decide (and cache) whether the fused path is safe for ``system``.
 
     The fused step is algebraically identical to the legacy stepper, but
     bit-identity additionally requires the BLAS GEMM to produce the exact
@@ -244,16 +231,10 @@ def probe_fused_equivalence(
 
     Returns ``True`` when every probed quantity matched; the fused engine
     then uses the fused stepper, otherwise it falls back to the legacy
-    stepper (still bit-identical).  ``float32`` always returns ``True``: the
-    fast mode has no bit-identity contract — the fused kernel *defines* that
-    path.  Verdicts are cached per ``(system matrices, dtype, width)``.
-    Whether the run may additionally be *partitioned* across workers is a
-    separate empirical question answered by
-    :func:`repro.runtime.kernel.runner.probe_shard_stability`.
+    stepper (still bit-identical).  Verdicts are cached per
+    ``(system matrices, width)``.
     """
-    if np.dtype(dtype) == np.float32:
-        return True
-    key = _system_key(system, dtype) + (int(n_instances),)
+    key = _system_key(system) + (int(n_instances),)
     cached = _PROBE_CACHE.get(key)
     if cached is None:
         cached = _PROBE_CACHE[key] = _probe(system, int(n_instances), PROBE_HORIZON)

@@ -23,11 +23,6 @@ threshold/CUSUM comparisons — so lane alarms are bit-identical to the legacy
 per-step calls.  Anything outside that envelope (``m > 2`` p-norms,
 non-lockstep step counters) silently routes through :class:`GenericLane`,
 which is bit-identical by construction.
-
-In float32 fast mode the residue stack is float32; lane *state* (CUSUM
-accumulators, step counters) and comparisons stay float64 via numpy's exact
-float32→float64 promotion, so the only divergence channel versus float64 is
-residue rounding itself.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ def _generic_alarms(core: BatchDetector, src: np.ndarray) -> np.ndarray:
     T, N = src.shape[0], src.shape[2]
     out = np.empty((T, N), dtype=bool)
     for k in range(T):
-        out[k] = core.step(np.ascontiguousarray(src[k].T, dtype=np.float64))
+        out[k] = core.step(np.ascontiguousarray(src[k].T))
     return out
 
 

@@ -87,7 +87,6 @@ def run_service(
         metrics=metrics,
         scraper=scraper,
         engine=config.engine,
-        engine_options=config.engine_options,
     )
 
 

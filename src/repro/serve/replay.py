@@ -122,6 +122,9 @@ def _rebuild_service(
     from repro.serve.engine import run_service
 
     config_data = dict(config_data)
+    # Logs written before engine options were retired carry an
+    # ``engine_options`` key that ServiceConfig no longer accepts.
+    config_data.pop("engine_options", None)
     # Replay controls drain timing itself and must not re-log to disk.
     config_data["auto_drain"] = False
     config_data["log_path"] = None

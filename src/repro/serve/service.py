@@ -180,9 +180,9 @@ class MonitorService:
         ``metrics`` registry self-monitors the live gauge/counter-rate
         streams (ingest rate, members, round cost) with the repo's own
         CUSUM detectors, one observation per processed round.
-    engine / engine_options:
-        Name (from :data:`repro.registry.ENGINES`) and constructor options
-        of the round-evaluation engine.  ``"legacy"`` (default) steps every
+    engine:
+        Name (from :data:`repro.registry.ENGINES`) of the round-evaluation
+        engine.  ``"legacy"`` (default) steps every
         core per round; ``"fused"`` evaluates rounds through a version-keyed
         :class:`~repro.runtime.kernel.serve.FusedServicePlan` that shares
         norm computations across the bank.  Alarm decisions, event ordering
@@ -207,7 +207,6 @@ class MonitorService:
         metrics: MetricsRegistry | None = None,
         scraper=None,
         engine: str = "legacy",
-        engine_options: Mapping[str, object] | None = None,
     ):
         if residue_source not in RESIDUE_SOURCES:
             raise ValidationError(
@@ -230,8 +229,7 @@ class MonitorService:
         self.log = log if log is not None else ServiceLog()
         self.metadata = dict(metadata or {})
         self.engine = str(engine)
-        self.engine_options = dict(engine_options or {})
-        self._engine = ENGINES.create(self.engine, **self.engine_options)
+        self._engine = ENGINES.create(self.engine)
 
         # Cores cannot be built empty (n_instances is validated positive), so
         # materialise each with one placeholder row and compact it away.

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import FARConfig, SynthesisConfig, run_pipeline
 from repro.core.far import FalseAlarmEvaluator
-from repro.core.pipeline import SynthesisPipeline
 from repro.noise.models import BoundedUniformNoise
 from repro.utils.validation import ValidationError
 
@@ -170,32 +170,35 @@ class TestVectorizedAgainstSequentialReference:
 
 
 class TestPipeline:
-    """The deprecated shim must keep working — and keep warning."""
+    """run_pipeline end to end, with the FAR stage on and off."""
 
     def test_full_run_on_trajectory(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning):
-            pipeline = SynthesisPipeline(
-                problem=trajectory_problem,
-                algorithms=("pivot", "stepwise", "static"),
-                far_count=50,
-                min_threshold=0.005,
-            )
-        report = pipeline.run()
+        report = run_pipeline(
+            trajectory_problem,
+            SynthesisConfig(
+                algorithms=("pivot", "stepwise", "static"), min_threshold=0.005
+            ),
+            FARConfig(count=50),
+        )
         assert report.is_vulnerable
         assert set(report.synthesis) == {"pivot", "stepwise", "static"}
         assert report.far_study is not None
         rows = report.summary_rows()
         assert len(rows) == 3
         assert all("false_alarm_rate" in row for row in rows)
+        # The pipeline's FAR stage is the evaluator's study, rate for rate.
+        direct = FalseAlarmEvaluator(trajectory_problem, count=50, seed=0).evaluate(
+            {name: result.threshold for name, result in report.synthesis.items()}
+        )
+        assert report.far_study.rates == direct.rates
 
     def test_far_can_be_disabled(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning):
-            pipeline = SynthesisPipeline(
-                problem=trajectory_problem, algorithms=("static",), far_count=0
-            )
-        report = pipeline.run()
+        # A zero-trace FAR config skips the study, as a missing one does.
+        report = run_pipeline(
+            trajectory_problem, SynthesisConfig(algorithms=("static",)), FARConfig(count=0)
+        )
         assert report.far_study is None
 
     def test_unknown_algorithm_rejected(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValidationError):
-            SynthesisPipeline(problem=trajectory_problem, algorithms=("magic",))
+        with pytest.raises(ValidationError):
+            run_pipeline(trajectory_problem, SynthesisConfig(algorithms=("magic",)))

@@ -2,24 +2,25 @@
 
 This is the gate behind ``engine="fused"``: for every packaged case study,
 every deployed detector family (static threshold, CUSUM, chi-square, plant
-monitors) and both attack modes, a fused float64 run must be *bit-identical*
+monitors) and both attack modes, a fused run must be *bit-identical*
 (``np.array_equal``, no tolerance) to the legacy engine — traces, alarm
 events (including their order) and report statistics alike.  A seeded
 randomized property test extends the same check to arbitrary stable LTI
 closed loops, including plants with a nonzero feed-through ``D`` (a path no
 packaged case study exercises).
 
-The fused engine is allowed to *choose* the legacy stepper per shard when
-its differential probe rejects the BLAS at the run's width — the gate here
-is about observable output, not about which kernel ran.  A separate guard
-asserts that the fused kernel path is genuinely exercised on this host, so
-a silently always-falling-back build cannot pass the suite vacuously.
+The fused engine is allowed to *choose* the legacy stepper when its
+differential probe rejects the BLAS at the run's width — the gate here is
+about observable output, not about which kernel ran.  That fallback is
+forced and checked on every host, and a separate guard asserts that the
+fused kernel path is genuinely exercised on this host, so a silently
+always-falling-back build cannot pass the suite vacuously.
 """
 
 import numpy as np
 import pytest
 
-from repro.attacks.templates import BiasAttack
+from repro.attacks.templates import BiasAttack, RampAttack
 from repro.detectors.chi_square import ChiSquareDetector
 from repro.detectors.cusum import CusumDetector
 from repro.lti.model import StateSpace
@@ -27,8 +28,8 @@ from repro.lti.simulate import ClosedLoopSystem
 from repro.registry import CASE_STUDIES
 from repro.runtime.engine import _innovation_covariance
 from repro.runtime.events import InMemorySink
-from repro.runtime.fleet import FleetSimulator, ScheduledAttack, batch_simulate
-from repro.runtime.kernel import probe_fused_equivalence
+from repro.runtime.fleet import FleetSimulator, ScheduledAttack
+from repro.runtime.kernel import probe_fused_equivalence, runner
 
 CASE_STUDY_NAMES = ("cruise", "dcmotor", "pendulum", "quadtank", "trajectory", "vsc")
 
@@ -62,29 +63,37 @@ def _detector_bank(problem) -> dict:
     return bank
 
 
-def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11, **options):
+def _simulate(system, engine, **kwargs):
+    """One recorded fleet run: ``(report, trace, alarm events)``."""
     sink = InMemorySink()
+    simulator = FleetSimulator(
+        system,
+        sinks=[sink],
+        record_traces=True,
+        metrics=False,
+        engine=engine,
+        **kwargs,
+    )
+    report = simulator.run()
+    return report, simulator.trace, list(sink.events)
+
+
+def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11):
     attacks = (
         [ScheduledAttack(BiasAttack(bias=0.4), fraction=0.3, start=horizon // 4)]
         if attacked
         else []
     )
-    simulator = FleetSimulator(
+    return _simulate(
         problem.system,
-        n_instances,
-        horizon,
+        engine,
+        n_instances=n_instances,
+        horizon=horizon,
         detectors=_detector_bank(problem),
         x0=problem.x0,
         attacks=attacks,
-        sinks=[sink],
         seed=seed,
-        record_traces=True,
-        metrics=False,
-        engine=engine,
-        engine_options=options,
     )
-    report = simulator.run()
-    return report, simulator.trace, list(sink.events)
 
 
 def _assert_bit_identical(legacy, fused):
@@ -103,39 +112,38 @@ def _assert_bit_identical(legacy, fused):
 
 
 class TestCaseStudyEquivalence:
-    """Fused float64 ≡ legacy on every case study and detector family."""
+    """Fused ≡ legacy on every case study and detector family."""
 
     @pytest.mark.parametrize("attacked", [False, True], ids=["benign", "attacked"])
     @pytest.mark.parametrize("name", CASE_STUDY_NAMES)
     def test_fused_float64_is_bit_identical(self, problems, name, attacked):
         problem = problems[name]
         legacy = _run(problem, "legacy", attacked=attacked)
-        fused = _run(problem, "fused", attacked=attacked, dtype="float64")
+        fused = _run(problem, "fused", attacked=attacked)
         _assert_bit_identical(legacy, fused)
 
     def test_single_instance_fleet_pads_without_divergence(self, problems):
-        # Width-1 shards ride a zero discard column inside the kernel; the
-        # padding must never leak into the observable output.
+        # A width-1 fused run rides a zero discard column inside the
+        # kernel; the padding must never leak into the observable output.
         problem = problems["dcmotor"]
         legacy = _run(problem, "legacy", attacked=True, n_instances=1)
-        fused = _run(problem, "fused", attacked=True, n_instances=1, dtype="float64")
+        fused = _run(problem, "fused", attacked=True, n_instances=1)
         _assert_bit_identical(legacy, fused)
 
     def test_engine_metadata_reports_the_chosen_path(self, problems):
         report, _, _ = _run(problems["quadtank"], "fused", attacked=False)
         engine = report.metadata["engine"]
+        assert set(engine) == {"name", "fused_path"}
         assert engine["name"] == "fused"
-        assert engine["dtype"] == "float64"
-        assert engine["workers"] == 1
         assert isinstance(engine["fused_path"], bool)
 
     def test_fused_kernel_path_is_exercised_on_this_host(self, problems):
         # The equivalence cells above pass even if every probe rejects the
-        # BLAS (the engine then runs legacy shards).  Guard against that
+        # BLAS (the engine then runs the legacy stepper).  Guard against that
         # vacuous pass: at least one case study must take the fused GEMM
         # path at at least one of the widths this suite uses.
         verdicts = [
-            probe_fused_equivalence(problem.system, np.float64, width)
+            probe_fused_equivalence(problem.system, width)
             for problem in problems.values()
             for width in (37, 64)
         ]
@@ -143,6 +151,35 @@ class TestCaseStudyEquivalence:
             "no (case study, width) pair passed the fused probe on this host; "
             "the differential suite would not be exercising the fused kernel"
         )
+
+
+class TestProbeFallback:
+    """A rejected probe must leave the output untouched, on every host."""
+
+    @pytest.mark.parametrize("n_instances", [64, 1])
+    def test_rejected_probe_falls_back_bit_identically(
+        self, problems, monkeypatch, n_instances
+    ):
+        # dcmotor takes the fused GEMM path at these widths on common BLAS
+        # builds, so the fallback branch runs here only because the probe is
+        # forced to reject it; the fused stepper must then never be built.
+        consulted = []
+
+        def reject(system, n_instances=64):
+            consulted.append(n_instances)
+            return False
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rejected probe must not build the fused stepper")
+
+        monkeypatch.setattr(runner, "probe_fused_equivalence", reject)
+        monkeypatch.setattr(runner, "FusedStepper", forbidden)
+        problem = problems["dcmotor"]
+        legacy = _run(problem, "legacy", attacked=True, n_instances=n_instances)
+        fused = _run(problem, "fused", attacked=True, n_instances=n_instances)
+        assert consulted == [n_instances]
+        assert fused[0].metadata["engine"]["fused_path"] is False
+        _assert_bit_identical(legacy, fused)
 
 
 def _random_closed_loop(rng: np.random.Generator, with_feedthrough: bool):
@@ -158,6 +195,7 @@ def _random_closed_loop(rng: np.random.Generator, with_feedthrough: bool):
         rng.standard_normal((n, p)),
         rng.standard_normal((m, n)),
         rng.standard_normal((m, p)) * 0.2 if with_feedthrough else None,
+        Q_w=np.eye(n) * 1e-6,
         R_v=np.eye(m) * 1e-4,
         dt=0.1,
     )
@@ -177,22 +215,23 @@ class TestRandomizedSystems:
     def test_random_stable_lti_is_bit_identical(self, case):
         rng = np.random.default_rng(900 + case)
         system = _random_closed_loop(rng, with_feedthrough=case % 2 == 1)
-        plant = system.plant
         N, T = int(rng.integers(3, 24)), 50
-        V = rng.standard_normal((N, T, plant.n_outputs)) * 1e-2
-        W = rng.standard_normal((N, T, plant.n_states)) * 1e-3
-        A = rng.standard_normal((N, T, plant.n_outputs)) * 1e-2
-        x0 = rng.standard_normal((N, plant.n_states)) * 0.1
-
         kwargs = dict(
-            x0=x0, measurement_noise=V, process_noise=W, attacks=A
+            n_instances=N,
+            horizon=T,
+            detectors={"cusum": CusumDetector(bias=0.03, threshold=0.2)},
+            include_process_noise=True,
+            x0=rng.standard_normal((N, system.plant.n_states)) * 0.1,
+            # Overlapping entries exercise the schedule's accumulation order.
+            attacks=[
+                ScheduledAttack(BiasAttack(bias=0.01), fraction=0.5, start=10),
+                ScheduledAttack(RampAttack(slope=1e-3), fraction=0.3, start=25),
+            ],
+            seed=900 + case,
         )
-        legacy = batch_simulate(system, T, engine="legacy", **kwargs)
-        fused = batch_simulate(system, T, engine="fused", **kwargs)
-        for field in TRACE_FIELDS:
-            assert np.array_equal(
-                getattr(legacy, field), getattr(fused, field)
-            ), f"trace field {field!r} diverged on random system {case}"
+        legacy = _simulate(system, "legacy", **kwargs)
+        fused = _simulate(system, "fused", **kwargs)
+        _assert_bit_identical(legacy, fused)
 
     def test_feedthrough_plants_take_the_output_feed_rows(self):
         # No packaged case study has D != 0; make sure the fused kernel's
@@ -200,13 +239,7 @@ class TestRandomizedSystems:
         rng = np.random.default_rng(1234)
         system = _random_closed_loop(rng, with_feedthrough=True)
         assert np.any(system.plant.D)
-        N, T = 9, 40
-        V = rng.standard_normal((N, T, system.plant.n_outputs)) * 1e-2
-        legacy = batch_simulate(
-            system, T, measurement_noise=V, engine="legacy", n_instances=N
-        )
-        fused = batch_simulate(
-            system, T, measurement_noise=V, engine="fused", n_instances=N
-        )
+        _, legacy, _ = _simulate(system, "legacy", n_instances=9, horizon=40, seed=3)
+        _, fused, _ = _simulate(system, "fused", n_instances=9, horizon=40, seed=3)
         assert np.array_equal(legacy.measurements, fused.measurements)
         assert np.array_equal(legacy.residues, fused.residues)

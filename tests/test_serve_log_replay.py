@@ -102,6 +102,32 @@ class TestReplay:
         result = replay(path)
         assert result.matches and result.recorded
 
+    @pytest.mark.parametrize(
+        "retired", [{}, {"dtype": "float32", "workers": 2}], ids=["empty", "knobs"]
+    )
+    def test_replay_drops_a_retired_engine_options_key(self, tmp_path, retired):
+        # Logs written while ServiceConfig still had ``engine_options`` carry
+        # that key in their start snapshot; replay must ignore it, whatever
+        # its value, instead of rejecting it as an unknown config field.
+        path = tmp_path / "service.jsonl"
+        config = ServiceConfig(
+            case_study="dcmotor", static_thresholds={"static": 0.5}, log_path=str(path)
+        )
+        service = run_service(config)
+        from repro import get_case_study
+
+        _drive(service, get_case_study("dcmotor").problem)
+        service.close()
+        lines = path.read_text().splitlines()
+        start = json.loads(lines[0])
+        assert start["kind"] == "start"
+        start["data"]["metadata"]["config"]["engine_options"] = retired
+        lines[0] = json.dumps(start)
+        path.write_text("\n".join(lines) + "\n")
+
+        result = replay(path)
+        assert result.matches and result.recorded
+
     def test_replay_reproduces_drop_oldest_evictions(self, dcmotor_problem):
         config = ServiceConfig(
             static_thresholds={"static": 0.5},

@@ -455,7 +455,6 @@ class TestFusedEngineRounds:
             static_thresholds={"static": 0.4},
             include_mdc=False,
             engine="fused",
-            engine_options={},
         )
         rebuilt = ServiceConfig.from_dict(config.to_dict())
         assert rebuilt.engine == "fused"
