@@ -90,6 +90,33 @@ def _git_provenance() -> dict:
     return provenance
 
 
+#: Lazily computed once per session (None = not yet computed).
+_HOST_PROVENANCE: dict | None = None
+
+
+def _host_provenance() -> dict:
+    """``{cpu_affinity, blas, blas_threads}``, as on perfbench's provenance line.
+
+    ``cpu_affinity`` is the number of CPUs this process may run on,
+    ``blas`` the BLAS library numpy was built against (name and version),
+    and ``blas_threads`` the thread-count environment variables the BLAS
+    reads (``None`` where unset).  Together with the git stamp they let a
+    reader compare records taken on different machines.
+    """
+    global _HOST_PROVENANCE
+    if _HOST_PROVENANCE is None:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        _HOST_PROVENANCE = {
+            "cpu_affinity": len(os.sched_getaffinity(0)),
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": {
+                name: os.environ.get(name)
+                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            },
+        }
+    return _HOST_PROVENANCE
+
+
 def _bench_timestamp() -> float:
     """One shared stamp per CI run (``BENCH_TIMESTAMP``), else now."""
     raw = os.environ.get("BENCH_TIMESTAMP", "").strip()
@@ -112,7 +139,9 @@ def _record_benchmark(request):
     ``elapsed_s`` from the test's own report, which survive even in disabled
     smoke runs.  Each record is also stamped with the current git SHA and a
     dirty-tree flag (best-effort: absent outside a git checkout) so
-    ``repro.obs.watch`` can attribute regressions to commits.
+    ``repro.obs.watch`` can attribute regressions to commits, and with the
+    host's CPU affinity and BLAS build and thread settings
+    (:func:`_host_provenance`).
     """
     if "benchmark" not in request.fixturenames:
         yield
@@ -125,6 +154,7 @@ def _record_benchmark(request):
         "timestamp": _bench_timestamp(),
         "timing_disabled": bool(bench.disabled),
         **_git_provenance(),
+        **_host_provenance(),
     }
     stats = getattr(bench, "stats", None)
     if stats is not None:

@@ -25,7 +25,7 @@ from repro.core.problem import SynthesisProblem
 from repro.detectors.threshold import ThresholdVector, alarm_comparison
 from repro.lti.simulate import SimulationTrace
 from repro.noise.models import BoundedUniformNoise, NoiseModel
-from repro.runtime.fleet import batch_simulate
+from repro.runtime.fleet import batch_simulate, draw_streams
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import ValidationError, check_positive
 
@@ -143,31 +143,29 @@ class FalseAlarmEvaluator:
         """The filtered benign population (memoised across evaluate() calls).
 
         All trials are simulated together through the vectorized fleet
-        stepper; only the per-trial noise *sampling* (one independent RNG per
-        trial, same draw order as the historical sequential loop) and the
-        pfc/mdc filtering remain per trial.
+        stepper; only the per-trial noise *sampling* and the pfc/mdc
+        filtering remain per trial.  Sampling goes through
+        :func:`~repro.runtime.fleet.draw_streams` (one independent RNG per
+        trial, same draw order as the historical sequential loop), the
+        fleet's own draw, so a fleet run and a FAR population from the same
+        seed start from the same states under the same noise.
         """
         if self._traces is not None:
             return self._traces
         problem = self.problem
         plant = problem.system.plant
-        T, n, m = problem.horizon, plant.n_states, plant.n_outputs
+        T = problem.horizon
         count = self.count
         rngs = spawn_rngs(self.seed, count)
-
-        measurement_noise = np.zeros((count, T, m))
-        process_noise = None
-        draw_process = self.include_process_noise and plant.Q_w is not None
-        if draw_process:
-            process_noise = np.zeros((count, T, n))
-        x0 = np.tile(problem.x0, (count, 1))
-        for i, rng in enumerate(rngs):
-            measurement_noise[i] = self.noise_model.sample(T, rng)
-            if draw_process:
-                process_noise[i] = rng.multivariate_normal(np.zeros(n), plant.Q_w, size=T)
-            if self.initial_state_spread is not None:
-                offset = rng.uniform(-1.0, 1.0, size=self.initial_state_spread.size)
-                x0[i] = problem.x0 + offset * self.initial_state_spread
+        measurement_noise, process_noise, x0 = draw_streams(
+            plant,
+            rngs,
+            T,
+            np.tile(problem.x0, (count, 1)),
+            noise_model=self.noise_model,
+            include_process_noise=self.include_process_noise,
+            x0_spread=self.initial_state_spread,
+        )
 
         fleet = batch_simulate(
             problem.system,

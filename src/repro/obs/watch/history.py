@@ -34,8 +34,20 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.runtime.events import _stripped_lines
 
-#: Keys that are provenance/metadata, never metric values.
-_PROVENANCE_KEYS = frozenset({"name", "timestamp", "timing_disabled", "git_sha", "git_dirty"})
+#: Keys that are provenance/metadata, never metric values.  ``cpu_affinity``
+#: (an int) must be listed or it would read as a metric series.
+_PROVENANCE_KEYS = frozenset(
+    {
+        "name",
+        "timestamp",
+        "timing_disabled",
+        "git_sha",
+        "git_dirty",
+        "cpu_affinity",
+        "blas",
+        "blas_threads",
+    }
+)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ The synthesis pipeline (:mod:`repro.api`) produces detectors; this package
   attack injector (:class:`ScheduledAttack`);
 * pluggable execution engines (:class:`LegacyEngine`, :class:`FusedEngine`
   from :mod:`repro.runtime.kernel`, selected by ``engine="legacy"/"fused"``
-  through :data:`repro.registry.ENGINES`) — the fused kernel collapses each
+  through :data:`repro.registry.ENGINES`) — an engine only chooses the
+  stepper the one fleet run body drives; the fused stepper collapses each
   fleet step into one block GEMM while staying bit-identical to the legacy
-  engine;
+  one;
 * an event layer (:class:`AlarmEvent`, :class:`InMemorySink`,
   :class:`JSONLSink`) and the :class:`FleetReport` aggregate;
 * the config-driven :func:`run_fleet` entry point (see

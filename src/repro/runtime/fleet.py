@@ -16,16 +16,17 @@ Three layers build on the shared :class:`_BatchStepper`:
 * :class:`ScheduledAttack` — one entry of the fleet's attack schedule: an
   :class:`~repro.attacks.templates.AttackTemplate` injected into a subset of
   the fleet from a given step onward.
-* :class:`FleetSimulator` — the streaming engine: steps the fleet, feeds
-  residues/measurements to the deployed online detectors, pushes
-  :class:`~repro.runtime.events.AlarmEvent` batches into the sinks, and
-  aggregates a :class:`~repro.runtime.report.FleetReport`.
+* :class:`FleetSimulator` — the fleet run: draws every instance's noise
+  streams up front (:func:`draw_streams`, shared with the FAR study), steps
+  the fleet, feeds residues/measurements to the deployed online detectors,
+  pushes :class:`~repro.runtime.events.AlarmEvent` batches into the sinks,
+  and aggregates a :class:`~repro.runtime.report.FleetReport`.
 
-:class:`FleetSimulator` takes an ``engine`` name resolved through
-:data:`repro.registry.ENGINES`: ``"legacy"`` (this module's per-step
-pipeline, the default) or ``"fused"`` (the block-fused kernel of
-:mod:`repro.runtime.kernel`, bit-identical and gated by a differential
-probe).
+:class:`FleetSimulator` has one run body.  Its ``engine`` name, resolved
+through :data:`repro.registry.ENGINES`, only chooses the stepper that body
+drives: ``"legacy"`` (:class:`_BatchStepper`, the default) or ``"fused"``
+(the block-GEMM stepper of :mod:`repro.runtime.kernel`, bit-identical and
+gated by a differential probe).
 """
 
 from __future__ import annotations
@@ -123,6 +124,51 @@ def _check_noise_block(
     if values.shape != shape:
         raise ValidationError(f"{label} must have shape {shape}, got {values.shape}")
     return values
+
+
+def draw_streams(
+    plant,
+    rngs,
+    horizon: int,
+    x0: np.ndarray,
+    *,
+    noise_model: NoiseModel | None = None,
+    include_process_noise: bool = False,
+    x0_spread: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Per-instance noise and initial-state draws, one generator per instance.
+
+    Instance ``i``'s generator ``rngs[i]`` draws its measurement noise (one
+    ``noise_model.sample`` call; zeros without a model), then its process
+    noise, then its initial-state offset inside ``x0[i] ± x0_spread``.
+    Process noise is drawn only when ``include_process_noise`` is set *and*
+    ``plant.Q_w`` has a nonzero entry, the scalar simulator's rule.  Fleet
+    runs and the FAR study's benign population both draw through here, so
+    the same seed gives them the same randomness.
+
+    Returns ``(V, W, X0)``: ``(N, T, m)`` measurement noise, ``(N, T, n)``
+    process noise or ``None``, and the ``(N, n)`` initial states (a copy of
+    ``x0``).
+    """
+    T, N = int(horizon), len(rngs)
+    n, m = plant.n_states, plant.n_outputs
+    V = np.zeros((N, T, m))
+    W = None
+    draw_process = (
+        include_process_noise and plant.Q_w is not None and bool(np.any(plant.Q_w))
+    )
+    if draw_process:
+        W = np.zeros((N, T, n))
+    X0 = np.array(x0, dtype=float)
+    for i, rng in enumerate(rngs):
+        if noise_model is not None:
+            V[i] = noise_model.sample(T, rng)
+        if draw_process:
+            W[i] = rng.multivariate_normal(np.zeros(n), plant.Q_w, size=T)
+        if x0_spread is not None:
+            offset = rng.uniform(-1.0, 1.0, size=n)
+            X0[i] = X0[i] + offset * x0_spread
+    return V, W, X0
 
 
 @dataclass
@@ -345,7 +391,7 @@ class ScheduledAttack:
 
 
 class FleetSimulator:
-    """Streams ``N`` monitored plant instances step by step.
+    """Steps ``N`` monitored plant instances through the horizon together.
 
     Parameters
     ----------
@@ -382,7 +428,9 @@ class FleetSimulator:
         draws.
     record_traces:
         Keep the full :class:`FleetTrace` on :attr:`trace` after :meth:`run`
-        (off by default: a streaming run needs only ``O(N)`` memory).
+        (off by default).  Without it a run still holds the noise drawn up
+        front (``(N, T, m)`` measurement noise, plus ``(N, T, n)`` process
+        noise when drawn), but only ``(N, ·)`` per-step state beyond that.
     metrics:
         Telemetry wiring.  ``None`` (default) records into the process-wide
         registry from :func:`repro.obs.metrics.get_registry` — which is
@@ -400,9 +448,10 @@ class FleetSimulator:
         :class:`~repro.obs.watch.HealthWatcher` passed here watches the
         run's live gauge/counter streams for regressions.
     engine:
-        Execution engine name from :data:`repro.registry.ENGINES`:
-        ``"legacy"`` (default, this module's streaming per-step pipeline) or
-        ``"fused"`` (the block-fused kernel, bit-identical to it).
+        Execution engine name from :data:`repro.registry.ENGINES`; it
+        chooses the stepper of the one run body: ``"legacy"`` (default,
+        :class:`_BatchStepper`) or ``"fused"`` (the block-GEMM stepper,
+        bit-identical to it).
     """
 
     def __init__(
@@ -473,35 +522,6 @@ class FleetSimulator:
             )
 
     # ------------------------------------------------------------------
-    def _draw_streams(self, rngs) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Per-instance noise and initial-state draws (one stream per instance).
-
-        Each instance's stream draws measurement noise, then process noise,
-        then its initial-state offset — the same order as the FAR study's
-        benign-trace generation, so fleet runs and FAR populations built from
-        the same seed see the same randomness.
-        """
-        plant = self.system.plant
-        T, N = self.horizon, self.n_instances
-        n, m = plant.n_states, plant.n_outputs
-        V = np.zeros((N, T, m))
-        W = None
-        draw_process = (
-            self.include_process_noise and plant.Q_w is not None and np.any(plant.Q_w)
-        )
-        if draw_process:
-            W = np.zeros((N, T, n))
-        X0 = self._x0_matrix.copy()
-        for i, rng in enumerate(rngs):
-            if self.noise_model is not None:
-                V[i] = self.noise_model.sample(T, rng)
-            if draw_process:
-                W[i] = rng.multivariate_normal(np.zeros(n), plant.Q_w, size=T)
-            if self.x0_spread is not None:
-                offset = rng.uniform(-1.0, 1.0, size=n)
-                X0[i] = X0[i] + offset * self.x0_spread
-        return V, W, X0
-
     def _resolve_schedule(self, rng) -> list[tuple[np.ndarray, np.ndarray]]:
         """Materialise every schedule entry: (instance ids, (T, m) values)."""
         plant = self.system.plant
@@ -515,9 +535,9 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     def run(self) -> FleetReport:
         """Step the whole fleet through the horizon and aggregate the report."""
-        runner = ENGINES.create(self.engine)
+        engine = ENGINES.create(self.engine)
         if self.metrics is False:
-            return runner.run_fleet(self)
+            return self._run(engine)
         with span(
             "fleet.run",
             system=self.system.name,
@@ -525,17 +545,25 @@ class FleetSimulator:
             horizon=self.horizon,
             engine=self.engine,
         ):
-            return runner.run_fleet(self)
+            return self._run(engine)
 
-    def _run(self) -> FleetReport:
-        """The legacy-engine run body (the fused kernel's bit-for-bit reference)."""
+    def _run(self, engine) -> FleetReport:
+        """The run body; ``engine`` only chooses the closed-loop stepper."""
         plant = self.system.plant
         T, N = self.horizon, self.n_instances
         n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
 
         rngs = spawn_rngs(self.seed, N + 1)
         scheduler_rng = ensure_rng(rngs[-1])
-        V, W, X0 = self._draw_streams(rngs[:N])
+        V, W, X0 = draw_streams(
+            plant,
+            rngs[:N],
+            T,
+            self._x0_matrix,
+            noise_model=self.noise_model,
+            include_process_noise=self.include_process_noise,
+            x0_spread=self.x0_spread,
+        )
         schedule = self._resolve_schedule(scheduler_rng)
 
         attacked_mask = np.zeros(N, dtype=bool)
@@ -545,7 +573,26 @@ class FleetSimulator:
                 attacked_mask[indices] = True
                 attack_start[indices] = np.minimum(attack_start[indices], entry.start)
 
-        stepper = _BatchStepper(self.system, X0, self.xhat0.copy())
+        # Instruments are resolved once, outside the loop; ``metrics=False``
+        # removes them entirely (the overhead benchmark's baseline), and the
+        # default disabled registry reduces each surviving call to one
+        # attribute check.  The only per-step call sits on the alarm branch,
+        # which is already off the fast no-alarm path.
+        registry = None
+        alarms_counter = None
+        if self.metrics is not False:
+            registry = (
+                self.metrics
+                if isinstance(self.metrics, MetricsRegistry)
+                else get_registry()
+            )
+            alarms_counter = registry.counter(
+                "fleet_alarms_total", help="Detector alarms fired during fleet runs."
+            )
+
+        stepper, engine_metadata = engine.make_stepper(
+            self.system, X0, self.xhat0.copy(), registry
+        )
         for detector in self.detectors.values():
             detector.reset()
 
@@ -569,23 +616,6 @@ class FleetSimulator:
             recorder["states"][:, 0] = stepper.X
             recorder["estimates"][:, 0] = stepper.Xhat
             recorder["inputs"][:, 0] = stepper.U
-
-        # Instruments are resolved once, outside the loop; ``metrics=False``
-        # removes them entirely (the overhead benchmark's baseline), and the
-        # default disabled registry reduces each surviving call to one
-        # attribute check.  The only per-step call sits on the alarm branch,
-        # which is already off the fast no-alarm path.
-        registry = None
-        alarms_counter = None
-        if self.metrics is not False:
-            registry = (
-                self.metrics
-                if isinstance(self.metrics, MetricsRegistry)
-                else get_registry()
-            )
-            alarms_counter = registry.counter(
-                "fleet_alarms_total", help="Detector alarms fired during fleet runs."
-            )
 
         started = Stopwatch()
         for k in range(T):
@@ -675,6 +705,7 @@ class FleetSimulator:
             metadata={
                 "system": self.system.name,
                 "seed": self.seed,
+                **engine_metadata,
                 "attacks": [
                     {
                         "label": entry.label or f"attack-{index}",
@@ -702,4 +733,10 @@ class FleetSimulator:
         return report
 
 
-__all__ = ["FleetTrace", "ScheduledAttack", "FleetSimulator", "batch_simulate"]
+__all__ = [
+    "FleetTrace",
+    "ScheduledAttack",
+    "FleetSimulator",
+    "batch_simulate",
+    "draw_streams",
+]

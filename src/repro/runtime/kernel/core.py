@@ -29,6 +29,10 @@ zero feed-through array, which can flip ``-0.0`` to ``+0.0``; the fused step
 skips that add.  The two paths therefore agree under ``np.array_equal``
 (value equality, the gate used everywhere) but may differ in the *sign* of
 zero entries.  No nonzero value can diverge through this op set.
+
+:class:`FusedStepper` takes the legacy stepper's instance-major ``(N, ·)``
+interface and transposes at its boundary, so the one fleet run body
+(:meth:`repro.runtime.fleet.FleetSimulator.run`) drives either stepper.
 """
 
 from __future__ import annotations
@@ -49,27 +53,32 @@ _PROBE_CACHE: dict[tuple, bool] = {}
 
 
 class FusedStepper:
-    """Advance ``w`` fleet instances with a single float64 GEMM per step.
+    """Advance ``N`` fleet instances with a single float64 GEMM per step.
 
-    Operates in transposed orientation: states are columns, so the stacked
-    state ``Z`` is ``(2n + p, w)`` and every per-step input/output block is
-    ``(m, w)`` / ``(n, w)``.
+    Takes the interface of the legacy
+    :class:`~repro.runtime.fleet._BatchStepper`: initial states and every
+    per-step block are instance-major ``(N, ·)``, :meth:`step` returns fresh
+    C-contiguous ``(N, m)`` blocks, and :attr:`X` / :attr:`Xhat` / :attr:`U`
+    read as ``(N, n)`` / ``(N, n)`` / ``(N, p)``.  Internally the stacked
+    state is kept transposed — instances are columns, ``Z`` is
+    ``(2n + p, N)`` — so each step is one ``(q, 2n + p) @ (2n + p, N)``
+    product.
 
     Parameters
     ----------
     system:
         The closed loop replicated across the fleet.
-    x0_T / xhat0_T:
-        Initial plant/estimator states, transposed ``(n, w)``; copied into
-        the stacked state.
+    x0 / xhat0:
+        Initial plant/estimator states, ``(N, n)``; copied into the stacked
+        state.
     """
 
-    def __init__(self, system: ClosedLoopSystem, x0_T: np.ndarray, xhat0_T: np.ndarray):
+    def __init__(self, system: ClosedLoopSystem, x0: np.ndarray, xhat0: np.ndarray):
         plant = system.plant
         n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
-        w = x0_T.shape[1]
+        N = x0.shape[0]
         self.system = system
-        self.n_columns = w
+        self.n_instances = N
         self._n, self._m, self._p = n, m, p
         self._has_of = plant.D is not None and bool(np.any(plant.D))
 
@@ -93,49 +102,62 @@ class FusedStepper:
         feedforward = system.feedforward @ system.reference
         self._ff = np.ascontiguousarray(feedforward.reshape(-1, 1), dtype=float)
 
-        Z = np.zeros((s, w))
-        Z[0:n] = x0_T
-        Z[n : 2 * n] = xhat0_T
+        Z = np.zeros((s, N))
+        Z[0:n] = x0.T
+        Z[n : 2 * n] = xhat0.T
         self._Z = Z
-        self.X = Z[0:n]
-        self.Xhat = Z[n : 2 * n]
-        self.U = Z[2 * n :]
+        self._X = Z[0:n]
+        self._Xhat = Z[n : 2 * n]
+        self._U = Z[2 * n :]
 
-        self._P = np.empty((q, w))
-        self._y = np.empty((m, w))
-        self._ya = np.empty((m, w))
-        self._yhat = np.empty((m, w)) if self._has_of else None
-        self._res = np.empty((m, w))
-        self._resL = np.empty((n, w))
-        self._KX = np.empty((p, w))
+        self._P = np.empty((q, N))
+        self._y = np.empty((m, N))
+        self._ya = np.empty((m, N))
+        self._yhat = np.empty((m, N)) if self._has_of else None
+        self._res = np.empty((m, N))
+        self._resL = np.empty((n, N))
+        self._KX = np.empty((p, N))
+
+    @property
+    def X(self) -> np.ndarray:
+        """Plant states, ``(N, n)`` (a view: it moves with the next step)."""
+        return self._X.T
+
+    @property
+    def Xhat(self) -> np.ndarray:
+        """Estimator states, ``(N, n)`` (a view: it moves with the next step)."""
+        return self._Xhat.T
+
+    @property
+    def U(self) -> np.ndarray:
+        """Control inputs, ``(N, p)`` (a view: it moves with the next step)."""
+        return self._U.T
 
     def step(
         self,
         measurement_noise: np.ndarray,
         process_noise: np.ndarray | None,
         attack: np.ndarray | None,
-        res_out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One fused closed-loop iteration for all ``w`` instances.
+        """One fused closed-loop iteration for all ``N`` instances.
 
-        All blocks are transposed ``(m, w)`` / ``(n, w)``.  Returns
-        ``(y_true, y_attacked, residues)`` as views into reused buffers —
-        callers must copy what they keep.  ``res_out`` (a contiguous
-        ``(m, w)`` block) lets callers receive the residues without a copy;
-        the same values land there as in the internal buffer.
+        Inputs are ``(N, m)`` / ``(N, n)`` / ``(N, m)`` blocks (any strides).
+        Returns ``(y_true, y_attacked, residues)`` as fresh C-contiguous
+        ``(N, m)`` arrays; ``y_attacked`` is ``y_true`` when there is no
+        attack, as in the legacy stepper.
         """
         m, n = self._m, self._n
         P = self._P
-        res = self._res if res_out is None else res_out
+        res = self._res
         np.matmul(self._Mq, self._Z, out=P)
         if self._has_of:
             of = P[self._of0 : self._of0 + m]
             np.add(P[0:m], of, out=self._y)
-            self._y += measurement_noise
+            self._y += measurement_noise.T
         else:
-            np.add(P[0:m], measurement_noise, out=self._y)
+            np.add(P[0:m], measurement_noise.T, out=self._y)
         if attack is not None:
-            np.add(self._y, attack, out=self._ya)
+            np.add(self._y, attack.T, out=self._ya)
             ya = self._ya
         else:
             ya = self._y
@@ -145,15 +167,25 @@ class FusedStepper:
         else:
             np.subtract(ya, P[m : 2 * m], out=res)
 
-        np.add(P[self._ax0 : self._ax0 + n], P[self._bu0 : self._bu0 + n], out=self.X)
+        np.add(P[self._ax0 : self._ax0 + n], P[self._bu0 : self._bu0 + n], out=self._X)
         if process_noise is not None:
-            self.X += process_noise
-        np.matmul(self._L, res, out=self._resL)
-        np.add(P[self._axh0 : self._axh0 + n], P[self._bu0 : self._bu0 + n], out=self.Xhat)
-        self.Xhat += self._resL
-        np.matmul(self._K, self.Xhat, out=self._KX)
-        np.subtract(self._ff, self._KX, out=self.U)
-        return self._y, ya, res
+            self._X += process_noise.T
+        if m == 1:
+            # With one output the correction L @ res is a rank-one product:
+            # one multiply per entry, no sum, so broadcasting gives the
+            # floats a k=1 GEMM gives (the probe checks it) at a quarter of
+            # the GEMM call's cost.
+            np.multiply(self._L, res, out=self._resL)
+        else:
+            np.matmul(self._L, res, out=self._resL)
+        np.add(P[self._axh0 : self._axh0 + n], P[self._bu0 : self._bu0 + n], out=self._Xhat)
+        self._Xhat += self._resL
+        np.matmul(self._K, self._Xhat, out=self._KX)
+        np.subtract(self._ff, self._KX, out=self._U)
+
+        y_true = self._y.T.copy()
+        y_attacked = y_true if attack is None else ya.T.copy()
+        return y_true, y_attacked, res.T.copy()
 
 
 def _system_key(system: ClosedLoopSystem) -> tuple:
@@ -177,7 +209,7 @@ def _system_key(system: ClosedLoopSystem) -> tuple:
 
 
 def _probe(system: ClosedLoopSystem, n_instances: int, horizon: int) -> bool:
-    """Differential warm-up: fused full-width vs legacy stepper, bitwise."""
+    """Differential warm-up: fused vs legacy stepper at the run's width, bitwise."""
     from repro.runtime.fleet import _BatchStepper
 
     plant = system.plant
@@ -189,28 +221,15 @@ def _probe(system: ClosedLoopSystem, n_instances: int, horizon: int) -> bool:
     V = rng.standard_normal((T, N, m))
     W = rng.standard_normal((T, N, n))
 
-    # Mirror the engine's width-1 padding: a lone instance rides a zero
-    # discard column, exactly as it would in a real fused run.
-    pad = N == 1
-    cols = 2 if pad else N
-
-    def carve(block: np.ndarray) -> np.ndarray:
-        out = np.zeros((block.shape[1], cols))
-        out[:, :N] = block.T
-        return out
-
     legacy = _BatchStepper(system, X0.copy(), Xhat0.copy())
-    fused = FusedStepper(system, carve(X0), carve(Xhat0))
+    fused = FusedStepper(system, X0, Xhat0)
     for k in range(T):
-        y1, ya1, r1 = legacy.step(V[k], W[k], None)
-        y2, ya2, r2 = fused.step(carve(V[k]), carve(W[k]), None)
+        outputs = zip(legacy.step(V[k], W[k], None), fused.step(V[k], W[k], None))
         if not (
-            np.array_equal(y1, y2[:, :N].T)
-            and np.array_equal(ya1, ya2[:, :N].T)
-            and np.array_equal(r1, r2[:, :N].T)
-            and np.array_equal(legacy.X, fused.X[:, :N].T)
-            and np.array_equal(legacy.Xhat, fused.Xhat[:, :N].T)
-            and np.array_equal(legacy.U, fused.U[:, :N].T)
+            all(np.array_equal(left, right) for left, right in outputs)
+            and np.array_equal(legacy.X, fused.X)
+            and np.array_equal(legacy.Xhat, fused.Xhat)
+            and np.array_equal(legacy.U, fused.U)
         ):
             return False
     return True

@@ -8,8 +8,8 @@ pre-inspects the bank once and then, per round:
   once and shares the resulting ``(N,)`` norm vector across every threshold
   and CUSUM core with that signature,
 * applies threshold comparisons with the *per-instance* step index (service
-  instances attach mid-run, so unlike the fleet lanes there is no lockstep
-  assumption), mutating the cores' own counters/accumulators in place,
+  instances attach mid-run, so there is no lockstep assumption), mutating
+  the cores' own counters/accumulators in place,
 * steps anything else (chi-square, plant monitors, custom cores) directly.
 
 All detector state lives in the cores, never in the plan, so rebuilding the

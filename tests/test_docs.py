@@ -87,7 +87,7 @@ class TestDocstrings:
         assert store.ResultStore.__doc__
 
     def test_kernel_documents_its_equivalence_contract(self):
-        from repro.runtime.kernel import core, lanes, runner
+        from repro.runtime.kernel import core, runner
 
         # The fused stepper's docs must state the gate, not just the layout:
         # bit-identity is probed empirically, and the signed-zero caveat of
@@ -98,7 +98,6 @@ class TestDocstrings:
         # The engine states its probe fallback and the output it promises.
         assert "fallback" in runner.__doc__
         assert "bit-identical" in runner.__doc__
-        assert "Exactness contract" in lanes.__doc__
 
 
 class TestMarkdownLinks:

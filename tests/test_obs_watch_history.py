@@ -47,6 +47,21 @@ class TestBenchRecord:
         assert record.git_sha == "" and not record.git_dirty
         assert record.metrics == {}
 
+    def test_host_provenance_keys_are_not_metrics(self):
+        # benchmarks/conftest.py stamps every record with the host's CPU
+        # affinity and BLAS settings; cpu_affinity is an int, so without
+        # the provenance list it would read as a metric series.
+        from benchmarks.conftest import _host_provenance
+
+        host = _host_provenance()
+        assert set(host) == {"cpu_affinity", "blas", "blas_threads"}
+        assert host["cpu_affinity"] >= 1
+        raw = {"name": "t", "timestamp": 1.0, "elapsed": 0.5, **host}
+        assert BenchRecord.from_raw(raw).metrics == {"elapsed": 0.5}
+        history = BenchHistory()
+        history.add(BenchRecord.from_raw(raw))
+        assert [series.key for series in history.all_series()] == ["t/elapsed"]
+
     def test_bools_are_not_metrics(self):
         record = BenchRecord.from_raw({"name": "t", "timestamp": 1.0, "ok": True})
         assert record.metrics == {}

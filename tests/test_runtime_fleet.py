@@ -1,5 +1,6 @@
 """Tests for the fleet runtime: batched simulation, scheduler, events, report."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -272,6 +273,52 @@ class TestFleetSimulator:
                 detectors={"static": dcmotor_problem.static_threshold(0.01)},
                 attacks=[BiasAttack(bias=1.0)],
             )
+
+    def test_fleet_and_far_draw_the_same_streams_without_process_noise(
+        self, dcmotor_problem
+    ):
+        # An all-zero Q_w draws no process noise in either path, so the
+        # initial-state offsets come from the same point of each stream.
+        from repro import FalseAlarmEvaluator
+
+        plant = dataclasses.replace(
+            dcmotor_problem.system.plant,
+            Q_w=np.zeros_like(dcmotor_problem.system.plant.Q_w),
+        )
+        problem = dataclasses.replace(
+            dcmotor_problem,
+            system=dataclasses.replace(dcmotor_problem.system, plant=plant),
+        )
+        spread = np.full(plant.n_states, 0.05)
+        evaluator = FalseAlarmEvaluator(
+            problem,
+            count=6,
+            seed=5,
+            include_process_noise=True,
+            filter_pfc=False,
+            filter_mdc=False,
+            initial_state_spread=spread,
+        )
+        traces = evaluator.benign_traces()
+        simulator = FleetSimulator(
+            problem.system,
+            6,
+            problem.horizon,
+            noise_model=evaluator.noise_model,
+            include_process_noise=True,
+            x0=problem.x0,
+            x0_spread=spread,
+            seed=5,
+            record_traces=True,
+            metrics=False,
+        )
+        simulator.run()
+        np.testing.assert_array_equal(
+            np.stack([trace.states[0] for trace in traces]), simulator.trace.states[:, 0]
+        )
+        np.testing.assert_array_equal(
+            np.stack([trace.residues for trace in traces]), simulator.trace.residues
+        )
 
 
 @pytest.fixture(scope="module")

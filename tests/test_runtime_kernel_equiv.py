@@ -4,7 +4,9 @@ This is the gate behind ``engine="fused"``: for every packaged case study,
 every deployed detector family (static threshold, CUSUM, chi-square, plant
 monitors) and both attack modes, a fused run must be *bit-identical*
 (``np.array_equal``, no tolerance) to the legacy engine — traces, alarm
-events (including their order) and report statistics alike.  A seeded
+events (including their order), report statistics and every deployed
+core's post-run state alike.  Both engines drive the same run body; only
+the stepper differs.  A seeded
 randomized property test extends the same check to arbitrary stable LTI
 closed loops, including plants with a nonzero feed-through ``D`` (a path no
 packaged case study exercises).
@@ -64,7 +66,7 @@ def _detector_bank(problem) -> dict:
 
 
 def _simulate(system, engine, **kwargs):
-    """One recorded fleet run: ``(report, trace, alarm events)``."""
+    """One recorded fleet run: ``(report, trace, alarm events, core states)``."""
     sink = InMemorySink()
     simulator = FleetSimulator(
         system,
@@ -75,7 +77,8 @@ def _simulate(system, engine, **kwargs):
         **kwargs,
     )
     report = simulator.run()
-    return report, simulator.trace, list(sink.events)
+    states = {label: core.state for label, core in simulator.detectors.items()}
+    return report, simulator.trace, list(sink.events), states
 
 
 def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11):
@@ -97,8 +100,8 @@ def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11):
 
 
 def _assert_bit_identical(legacy, fused):
-    report_l, trace_l, events_l = legacy
-    report_f, trace_f, events_f = fused
+    report_l, trace_l, events_l, states_l = legacy
+    report_f, trace_f, events_f, states_f = fused
     for field in TRACE_FIELDS:
         left, right = getattr(trace_l, field), getattr(trace_f, field)
         assert np.array_equal(left, right), f"trace field {field!r} diverged"
@@ -109,6 +112,13 @@ def _assert_bit_identical(legacy, fused):
         assert (
             report_l.detectors[label].to_dict() == report_f.detectors[label].to_dict()
         ), f"detector stats for {label!r} diverged"
+    assert set(states_l) == set(states_f)
+    for label, state in states_l.items():
+        assert set(state) == set(states_f[label]), f"core state keys of {label!r}"
+        for key, value in state.items():
+            assert np.array_equal(value, states_f[label][key]), (
+                f"post-run state {key!r} of core {label!r} diverged"
+            )
 
 
 class TestCaseStudyEquivalence:
@@ -123,15 +133,16 @@ class TestCaseStudyEquivalence:
         _assert_bit_identical(legacy, fused)
 
     def test_single_instance_fleet_pads_without_divergence(self, problems):
-        # A width-1 fused run rides a zero discard column inside the
-        # kernel; the padding must never leak into the observable output.
+        # Nothing is padded any more: a width-1 run is probed at width 1,
+        # and whichever stepper the probe picks there (the GEMM may dispatch
+        # differently for a single column) must be bit-identical.
         problem = problems["dcmotor"]
         legacy = _run(problem, "legacy", attacked=True, n_instances=1)
         fused = _run(problem, "fused", attacked=True, n_instances=1)
         _assert_bit_identical(legacy, fused)
 
     def test_engine_metadata_reports_the_chosen_path(self, problems):
-        report, _, _ = _run(problems["quadtank"], "fused", attacked=False)
+        report, _, _, _ = _run(problems["quadtank"], "fused", attacked=False)
         engine = report.metadata["engine"]
         assert set(engine) == {"name", "fused_path"}
         assert engine["name"] == "fused"
@@ -239,7 +250,7 @@ class TestRandomizedSystems:
         rng = np.random.default_rng(1234)
         system = _random_closed_loop(rng, with_feedthrough=True)
         assert np.any(system.plant.D)
-        _, legacy, _ = _simulate(system, "legacy", n_instances=9, horizon=40, seed=3)
-        _, fused, _ = _simulate(system, "fused", n_instances=9, horizon=40, seed=3)
+        _, legacy, _, _ = _simulate(system, "legacy", n_instances=9, horizon=40, seed=3)
+        _, fused, _, _ = _simulate(system, "fused", n_instances=9, horizon=40, seed=3)
         assert np.array_equal(legacy.measurements, fused.measurements)
         assert np.array_equal(legacy.residues, fused.residues)
