@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.detectors.residue import DetectionResult
+from repro.detectors.threshold import row_norms
 from repro.registry import DETECTORS
 from repro.utils.validation import ValidationError, check_positive
 
@@ -48,9 +49,7 @@ class CusumDetector:
 
     def _norms(self, residues: np.ndarray) -> np.ndarray:
         residues = np.atleast_2d(np.asarray(residues, dtype=float))
-        if self.norm == "inf":
-            return np.max(np.abs(residues), axis=1)
-        return np.linalg.norm(residues, ord=self.norm, axis=1)
+        return row_norms(residues, self.norm)
 
     def statistics(self, residues: np.ndarray) -> np.ndarray:
         """The accumulated CUSUM statistic ``S_k`` per sample."""

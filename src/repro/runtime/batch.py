@@ -172,30 +172,53 @@ class BatchThresholdDetector(BatchDetector):
         self.threshold = threshold
         # Per-instance sample counters: instances attached mid-run (grow)
         # start their threshold timeline at 0 while the rest of the fleet is
-        # already deep into the vector.
-        self._steps = np.zeros(self.n_instances, dtype=int)
+        # already deep into the vector.  Until that happens every instance
+        # sits at ``step_index`` and no array is kept (``None``).
+        self._steps: np.ndarray | None = None
 
     def step(self, residues: np.ndarray) -> np.ndarray:
         residues = self._check_block(residues)
         norms = self.threshold.residue_norms(residues)
-        index = np.minimum(self._steps, self.threshold.length - 1)
-        self._steps += 1
+        return alarm_comparison(norms, self._advance())
+
+    def _advance(self) -> np.ndarray | np.float64:
+        """This sample's thresholds; moves every instance's counter on by one.
+
+        While the fleet shares one timeline this is a single scalar (the
+        float each instance would have gathered), so a lockstep fleet pays
+        no per-instance index or gather.
+        """
+        last = self.threshold.length - 1
+        if self._steps is None:
+            thresholds = self.threshold.values[min(self._step_index, last)]
+        else:
+            thresholds = self.threshold.values[np.minimum(self._steps, last)]
+            self._steps += 1
         self._step_index += 1
-        return alarm_comparison(norms, self.threshold.values[index])
+        return thresholds
 
     def reset(self) -> None:
         self._step_index = 0
-        self._steps = np.zeros(self.n_instances, dtype=int)
+        self._steps = None
 
     @property
     def state(self) -> dict:
-        return {"step": self._step_index, "steps": self._steps.copy()}
+        if self._steps is None:
+            steps = np.full(self.n_instances, self._step_index, dtype=int)
+        else:
+            steps = self._steps.copy()
+        return {"step": self._step_index, "steps": steps}
 
     def _grow_state(self, count: int) -> None:
+        if self._steps is None:
+            if self._step_index == 0:
+                return
+            self._steps = np.full(self.n_instances, self._step_index, dtype=int)
         self._steps = np.concatenate([self._steps, np.zeros(count, dtype=int)])
 
     def _compact_state(self, keep: np.ndarray) -> None:
-        self._steps = self._steps[keep]
+        if self._steps is not None:
+            self._steps = self._steps[keep]
 
     def rebind(self, threshold) -> None:
         """Swap in a new :class:`ThresholdVector`; per-instance steps are kept."""
@@ -220,8 +243,13 @@ class BatchCusum(BatchDetector):
 
     def step(self, residues: np.ndarray) -> np.ndarray:
         residues = self._check_block(residues)
-        norms = self.detector._norms(residues)
-        self._statistic = np.maximum(0.0, self._statistic + norms - self.detector.bias)
+        return self._accumulate(self.detector._norms(residues))
+
+    def _accumulate(self, norms: np.ndarray) -> np.ndarray:
+        """Fold one sample's ``(N,)`` residue norms in; returns the alarms."""
+        statistic = self._statistic + norms
+        statistic -= self.detector.bias
+        self._statistic = np.maximum(0.0, statistic, out=statistic)
         self._step_index += 1
         return self._statistic >= self.detector.threshold
 

@@ -110,11 +110,14 @@ class FusedStepper:
         self._Xhat = Z[n : 2 * n]
         self._U = Z[2 * n :]
 
-        self._P = np.empty((q, N))
-        self._y = np.empty((m, N))
-        self._ya = np.empty((m, N))
+        P = np.empty((q, N))
+        self._P = P
+        # X and Xhat both take ``+ B u``: as one ``(2, n, N)`` add over the
+        # adjacent row pairs (A x, A xhat) of P and (x, xhat) of Z.
+        self._AX_AXhat = P[self._ax0 : self._ax0 + 2 * n].reshape(2, n, N)
+        self._BU = P[self._bu0 : self._bu0 + n]
+        self._X_Xhat = Z[0 : 2 * n].reshape(2, n, N)
         self._yhat = np.empty((m, N)) if self._has_of else None
-        self._res = np.empty((m, N))
         self._resL = np.empty((n, N))
         self._KX = np.empty((p, N))
 
@@ -146,28 +149,27 @@ class FusedStepper:
         ``(N, m)`` arrays; ``y_attacked`` is ``y_true`` when there is no
         attack, as in the legacy stepper.
         """
-        m, n = self._m, self._n
+        m, N = self._m, self.n_instances
         P = self._P
-        res = self._res
+        # Outputs go into fresh (m, N) arrays: with one output their
+        # transpose already is the C-contiguous (N, 1) block handed out.
+        y = np.empty((m, N))
+        res = np.empty((m, N))
         np.matmul(self._Mq, self._Z, out=P)
         if self._has_of:
             of = P[self._of0 : self._of0 + m]
-            np.add(P[0:m], of, out=self._y)
-            self._y += measurement_noise.T
+            np.add(P[0:m], of, out=y)
+            y += measurement_noise.T
         else:
-            np.add(P[0:m], measurement_noise.T, out=self._y)
-        if attack is not None:
-            np.add(self._y, attack.T, out=self._ya)
-            ya = self._ya
-        else:
-            ya = self._y
+            np.add(P[0:m], measurement_noise.T, out=y)
+        ya = y if attack is None else y + attack.T
         if self._has_of:
             np.add(P[m : 2 * m], of, out=self._yhat)
             np.subtract(ya, self._yhat, out=res)
         else:
             np.subtract(ya, P[m : 2 * m], out=res)
 
-        np.add(P[self._ax0 : self._ax0 + n], P[self._bu0 : self._bu0 + n], out=self._X)
+        np.add(self._AX_AXhat, self._BU, out=self._X_Xhat)
         if process_noise is not None:
             self._X += process_noise.T
         if m == 1:
@@ -178,14 +180,13 @@ class FusedStepper:
             np.multiply(self._L, res, out=self._resL)
         else:
             np.matmul(self._L, res, out=self._resL)
-        np.add(P[self._axh0 : self._axh0 + n], P[self._bu0 : self._bu0 + n], out=self._Xhat)
         self._Xhat += self._resL
         np.matmul(self._K, self._Xhat, out=self._KX)
         np.subtract(self._ff, self._KX, out=self._U)
 
-        y_true = self._y.T.copy()
-        y_attacked = y_true if attack is None else ya.T.copy()
-        return y_true, y_attacked, res.T.copy()
+        y_true = np.ascontiguousarray(y.T)
+        y_attacked = y_true if attack is None else np.ascontiguousarray(ya.T)
+        return y_true, y_attacked, np.ascontiguousarray(res.T)
 
 
 def _system_key(system: ClosedLoopSystem) -> tuple:

@@ -46,15 +46,11 @@ class FusedServicePlan:
             if type(core) is BatchThresholdDetector:
                 vector = core.threshold
                 index = self._norm_index(vector.norm, vector.weights, vector)
-                self._steps.append(
-                    ("threshold", label, (core, vector.values, vector.length, index))
-                )
+                self._steps.append(("threshold", label, (core, index)))
             elif type(core) is BatchCusum:
                 detector = core.detector
                 index = self._norm_index(detector.norm, None, detector)
-                self._steps.append(
-                    ("cusum", label, (core, detector.bias, detector.threshold, index))
-                )
+                self._steps.append(("cusum", label, (core, index)))
             else:
                 self._steps.append(("generic", label, (core,)))
 
@@ -91,18 +87,11 @@ class FusedServicePlan:
         alarms: dict[str, np.ndarray] = {}
         for kind, label, payload in self._steps:
             if kind == "threshold":
-                core, values, length, index = payload
-                norms = norms_for(index)
-                timeline = np.minimum(core._steps, length - 1)
-                core._steps += 1
-                core._step_index += 1
-                alarms[label] = alarm_comparison(norms, values[timeline])
+                core, index = payload
+                alarms[label] = alarm_comparison(norms_for(index), core._advance())
             elif kind == "cusum":
-                core, bias, threshold, index = payload
-                norms = norms_for(index)
-                core._statistic = np.maximum(0.0, core._statistic + norms - bias)
-                core._step_index += 1
-                alarms[label] = core._statistic >= threshold
+                core, index = payload
+                alarms[label] = core._accumulate(norms_for(index))
             else:
                 (core,) = payload
                 values = residues if core.consumes == "residues" else measurements

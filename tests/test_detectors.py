@@ -13,7 +13,7 @@ from repro.detectors.evaluation import (
     roc_curve,
 )
 from repro.detectors.residue import ResidueDetector
-from repro.detectors.threshold import ThresholdVector
+from repro.detectors.threshold import ThresholdVector, row_norms
 from repro.utils.validation import ValidationError
 
 
@@ -92,6 +92,24 @@ class TestThresholdVector:
         other = th.copy()
         other.set_value(0, 5.0)
         assert th[0] == 1.0
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("norm", [1, 2, "inf"])
+    def test_bits_match_numpy_norm(self, norm, channels):
+        # Single-channel blocks skip numpy's reduction; the floats must not
+        # move, down to subnormals, overflow, signed zeros and NaN.
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(4000) * 10.0 ** rng.integers(-320, 308, 4000)
+        values[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        block = values.reshape(-1, channels) if channels == 1 else values[:3999].reshape(-1, 3)
+        order = np.inf if norm == "inf" else norm
+        with np.errstate(all="ignore"):
+            expected = np.linalg.norm(block, ord=order, axis=1)
+            actual = row_norms(block, norm)
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
 
 
 class TestResidueDetector:

@@ -261,6 +261,24 @@ class TestMembershipHooks:
         core.step(np.zeros((3, 1)))
         np.testing.assert_array_equal(core.state["steps"], [3, 3, 1])
 
+    def test_threshold_steps_stay_lockstep_until_instances_diverge(self):
+        # A step-0 grow leaves every row on one timeline; reset returns to it.
+        vector = ThresholdVector(np.array([3.0, 2.0, 1.0]))
+        core = make_batched(vector, 2)
+        core.grow(1)
+        alarms = core.step(np.array([[2.5], [3.5], [2.5]]))
+        np.testing.assert_array_equal(alarms, [False, True, False])
+        np.testing.assert_array_equal(core.state["steps"], [1, 1, 1])
+        core.grow(1)
+        alarms = core.step(np.full((4, 1), 2.5))
+        np.testing.assert_array_equal(alarms, [True, True, True, False])
+        np.testing.assert_array_equal(core.state["steps"], [2, 2, 2, 1])
+        core.compact(np.array([0, 3]))
+        np.testing.assert_array_equal(core.state["steps"], [2, 1])
+        core.reset()
+        np.testing.assert_array_equal(core.state["steps"], [0, 0])
+        np.testing.assert_array_equal(core.step(np.full((2, 1), 2.5)), [False, False])
+
     def test_monitor_grow_and_compact_keep_deadzone_counters(self):
         monitor = DeadZoneMonitor(
             inner=RangeMonitor.symmetric(0, 0.1), dead_zone_samples=3
